@@ -5,7 +5,8 @@
 //!
 //! * `BENCH_sweep.json` — the full Figure 4.1 resilient sweep grid, serial
 //!   vs. parallel, with wall time, total solver iterations, thread count
-//!   and a bit-identical check.
+//!   and a bit-identical check. The printed summary adds the MVA solve
+//!   time at N = 1 … 10 000 (the Section 3.2 efficiency claim).
 //! * `BENCH_gtpn.json` — the Write-Once coherence GTPN: reachability
 //!   expansion (serial vs. parallel frontier) and stationary-distribution
 //!   timing, dense LU vs. sparse Aitken-accelerated power iteration.
@@ -39,6 +40,7 @@ use snoop_gtpn::models::coherence::CoherenceNet;
 use snoop_gtpn::reachability::{explore, ReachabilityOptions};
 use snoop_mva::resilient::ResilientOptions;
 use snoop_mva::sweep::resilient_figure_4_1_family;
+use snoop_mva::{MvaModel, SolverOptions};
 use snoop_numeric::exec::{hardware_parallelism, par_map, ExecOptions};
 use snoop_numeric::markov::{steady_state_dense, steady_state_sparse, SparseOptions};
 use snoop_numeric::probe::trace;
@@ -186,6 +188,8 @@ fn bench_sweep(
         sizes.len()
     );
 
+    solve_time_vs_n(quick, out)?;
+
     let mut json = String::from("{\n");
     json.push_str(meta);
     let _ = writeln!(json, "  \"benchmark\": \"figure_4_1_resilient_sweep\",");
@@ -199,6 +203,36 @@ fn bench_sweep(
     let _ = writeln!(json, "  \"bit_identical\": {bit_identical}");
     json.push_str("}\n");
     Ok(json)
+}
+
+/// Section 3.2's efficiency claim, measured: the MVA solve time stays
+/// small as the system grows from 1 to 10 000 processors. Appends one
+/// row per size (mean wall time over repeated solves, iterations to the
+/// default 1e-12 tolerance) to the human summary only.
+fn solve_time_vs_n(quick: bool, out: &mut String) -> Result<(), String> {
+    let _t = trace::span("bench.sweep.solve_vs_n");
+    let model =
+        MvaModel::for_protocol(&WorkloadParams::appendix_a(SharingLevel::Five), ModSet::new())
+            .map_err(|e| e.to_string())?;
+    let reps = if quick { 5 } else { 100 };
+    let _ = writeln!(
+        out,
+        "sweep: MVA solve time vs N (WO, 5% sharing, tolerance 1e-12, mean of {reps} solves):"
+    );
+    for n in [1usize, 2, 10, 100, 1_000, 10_000] {
+        let start = Instant::now();
+        let mut iterations = 0;
+        for _ in 0..reps {
+            iterations =
+                model.solve(n, &SolverOptions::default()).map_err(|e| e.to_string())?.iterations;
+        }
+        let per_solve_us = millis(start) * 1e3 / reps as f64;
+        let _ = writeln!(
+            out,
+            "  N = {n:<6} {per_solve_us:>10.1} µs/solve   {iterations} iterations"
+        );
+    }
+    Ok(())
 }
 
 /// Times the Write-Once coherence GTPN: parallel frontier expansion and

@@ -9,11 +9,11 @@ use snoop_mva::engine::{
     self, BackendId, DiskStore, Engine, EngineResult, EvalError, EvaluationSeries, GtpnBackend,
     MvaBackend, ResilientMvaBackend, Scenario, SimBackend, StoreConfig,
 };
-use snoop_mva::paper::{table_4_1, TABLE_N};
+use snoop_mva::paper::{table_4_1, PROCESSING_POWER_GTPN, PROCESSING_POWER_MVA, TABLE_N};
 use snoop_mva::report::comparison_table;
 use snoop_mva::resilient::ResilientOptions;
-use snoop_mva::SolverOptions;
-use snoop_numeric::exec::ExecOptions;
+use snoop_mva::{MvaModel, SolverOptions};
+use snoop_numeric::exec::{par_map, ExecOptions};
 use snoop_protocol::{ModSet, Protocol};
 use snoop_sim::simulate;
 use snoop_sim::trace_mode::{simulate_trace_source, TraceSimConfig};
@@ -30,7 +30,8 @@ usage: snoop <command> [flags]
 commands:
   solve      solve the MVA model            --protocol WO+1 --sharing 5 --n 10
   sweep      speedup curve over N           --protocol dragon --sharing 20 --n 100
-  table      reproduce Table 4.1            --panel a | b | c | util
+  table      reproduce Table 4.1            --panel a | b | c [--sim: add DES rows]
+             and Sections 4.2/4.4           --panel util | power | busutil | amod
   figure     reproduce Figure 4.1           --csv for machine-readable output
   eval       batch-evaluate scenarios       --scenarios FILE.json --backends mva,sim
   serve      persistent evaluation daemon   --listen 127.0.0.1:7077 [--store DIR]
@@ -39,10 +40,11 @@ commands:
   validate   MVA vs discrete-event sim      --n 8 --protocol WO --sharing 5
   gtpn       MVA vs GTPN (small N)          --n 2 --protocol WO --sharing 5
   stress     Section 4.3 stress test        --protocol WO --n 10
+             (+ a write-heavy variant and the interference-submodel ablation)
   trace      trace-driven cache simulation  --n 4 --protocol berkeley [--adaptive]
   protocol   print transition tables        --protocol illinois
   dot        Graphviz state diagram         --protocol dragon
-  asymptote  N → infinity speedups
+  asymptote  N → infinity speedups, N = 20/100, modification-4 gain (Sec 4.1)
   sensitivity  speedup elasticities         --protocol WO --sharing 5 --n 10
   convergence  iterate trajectory (Sec 3.2) --protocol WO --sharing 5 --n 10
   calibrate  grid-search timing constants against the published tables,
@@ -55,7 +57,8 @@ commands:
   measure    measure workload params from a trace simulation  --n 4
   traffic    bus-traffic decomposition      --protocol WO --sharing 5
   waits      bus-wait distribution (DES)    --n 8 --sharing 5
-  bench      emit BENCH_{sweep,gtpn,sim,exec}.json timing data
+  bench      emit BENCH_{sweep,gtpn,sim,exec}.json timing data (the sweep
+             stage also prints MVA solve time vs N, Section 3.2)
              --threads 4 --out-dir . [--quick] [--stage sweep|gtpn|sim|exec|all]
              [--metrics-out FILE] [--run-id ID] [--git-sha SHA]
   help       this text
@@ -88,8 +91,8 @@ are higher-is-better: they regress when the ratio drops beyond the
 threshold instead.
 engine: eval runs a snoop-scenario-v1 batch file through the unified
 evaluation engine; --backends is a comma list of mva, mva-resilient,
-sim, gtpn and --cache FILE persists the content-addressed result cache
-across runs (a repeated run is served entirely from the cache).
+sim, gtpn. Results are cached in memory by content hash for the run;
+--store DIR (below) keeps them across runs.
 durable store: eval --store DIR keeps every computed result in a
 crash-safe sharded on-disk store (write-temp-then-rename, per-entry
 checksums, corrupt entries quarantined and recomputed, advisory claims
@@ -442,22 +445,40 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
     } else {
         flagged
     };
-    let engine = Engine::new().with_backend(MvaBackend);
-    if which == "util" {
-        // Section 4.2's side-by-side: bus utilization at N = 6, 5% sharing
-        // ("the GTPN and MVA estimates of bus utilization are approximately
-        // 81% and 77%").
-        let scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 6);
-        let s = engine.evaluate(&scenario).remove(0).result.map_err(|e| e.to_string())?;
-        return Ok(comparison_table(
-            "Section 4.2: bus utilization, Write-Once, N = 6, 5% sharing",
-            &[("U_bus (paper MVA 0.77)".into(), 0.77, s.bus_utilization)],
-        ));
+    match which.as_str() {
+        "a" | "b" | "c" => {
+            table_4_1_panel(which.chars().next().unwrap_or('a'), args.switch("sim"))
+        }
+        "util" => {
+            // Section 4.2's side-by-side: bus utilization at N = 6, 5%
+            // sharing ("the GTPN and MVA estimates of bus utilization are
+            // approximately 81% and 77%").
+            let scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 6);
+            let s = Engine::new()
+                .with_backend(MvaBackend)
+                .evaluate(&scenario)
+                .remove(0)
+                .result
+                .map_err(|e| e.to_string())?;
+            Ok(comparison_table(
+                "Section 4.2: bus utilization, Write-Once, N = 6, 5% sharing",
+                &[("U_bus (paper MVA 0.77)".into(), 0.77, s.bus_utilization)],
+            ))
+        }
+        "power" => table_power(),
+        "busutil" => table_busutil(),
+        "amod" => table_amod(),
+        other => Err(format!(
+            "unknown table {other:?}, expected a, b, c, util, power, busutil or amod"
+        )),
     }
-    let panel = which.chars().next().filter(|c| "abc".contains(*c)).ok_or_else(|| {
-        format!("unknown table {which:?}, expected a, b, c or util")
-    })?;
+}
 
+/// Table 4.1 panel `panel`: the published MVA and GTPN speedups beside
+/// this MVA, and with `sim` the discrete-event simulator standing in for
+/// the paper's detailed model (one `simulate` per cell, the scenario's
+/// own seed and run lengths).
+fn table_4_1_panel(panel: char, sim: bool) -> Result<String, String> {
     let published: Vec<_> = table_4_1().into_iter().filter(|r| r.panel == panel).collect();
     let scenarios: Vec<Scenario> = published
         .iter()
@@ -467,20 +488,194 @@ fn cmd_table(args: &ParsedArgs) -> Result<String, String> {
                 .map(|&n| Scenario::appendix_a(row.mods(), row.sharing, n))
         })
         .collect();
+    let engine = Engine::new().with_backend(MvaBackend);
     let mut evals = engine.evaluate_batch(&scenarios).into_iter();
-    let mut rows = Vec::new();
+    let des: Vec<f64> = if sim {
+        par_map(&scenarios, &ExecOptions::default(), |s| {
+            simulate(&s.to_sim_config()).map(|m| m.speedup).map_err(|e| e.to_string())
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?
+    } else {
+        Vec::new()
+    };
+
+    let mut out = format!(
+        "Table 4.1({panel}): published MVA and GTPN speedups vs this implementation{}\n",
+        if sim { " and the DES" } else { "" }
+    );
+    let _ = write!(
+        out,
+        "{:<12} {:>9} {:>10} {:>9} {:>8}",
+        "case", "paper MVA", "paper GTPN", "this MVA", "err%"
+    );
+    if sim {
+        let _ = write!(out, " {:>9} {:>8}", "this DES", "vs DES%");
+    }
+    let _ = writeln!(out);
+    let (mut worst_paper, mut worst_des) = (0.0f64, 0.0f64);
+    let mut cell = 0;
     for row in &published {
         for (i, &n) in TABLE_N.iter().enumerate() {
-            let s = next_result(&mut evals, BackendId::Mva, format!("{} N={n}", row.sharing))?
+            let label = format!("{} N={n}", row.sharing);
+            let model = next_result(&mut evals, BackendId::Mva, &label)?
                 .result
-                .map_err(|e| e.to_string())?;
-            rows.push((format!("{} N={n}", row.sharing), row.mva[i], s.speedup));
+                .map_err(|e| e.to_string())?
+                .speedup;
+            let err = (model - row.mva[i]) / row.mva[i] * 100.0;
+            worst_paper = worst_paper.max(err.abs());
+            let gtpn = match row.gtpn.get(i).copied().flatten() {
+                Some(g) => format!("{g:.3}"),
+                None => "-".to_string(),
+            };
+            let _ = write!(
+                out,
+                "{label:<12} {:>9.3} {gtpn:>10} {model:>9.3} {err:>+8.2}",
+                row.mva[i]
+            );
+            if sim {
+                let d = des[cell];
+                let err = (model - d) / d * 100.0;
+                worst_des = worst_des.max(err.abs());
+                let _ = write!(out, " {d:>9.3} {err:>+8.2}");
+            }
+            let _ = writeln!(out);
+            cell += 1;
         }
     }
-    Ok(comparison_table(
-        &format!("Table 4.1({panel}): published MVA speedups vs this implementation"),
-        &rows,
+    let _ = writeln!(out, "maximum |error|: {worst_paper:.2}% (this MVA vs paper MVA)");
+    if sim {
+        let _ = writeln!(out, "worst |this MVA − this DES|: {worst_des:.2}%");
+        let _ = writeln!(out, "(the paper reports MVA within 3% of its detailed model, max 4.25%)");
+    }
+    Ok(out)
+}
+
+/// Solves `params` under `mods` at `n` with the default solver.
+fn solve_at(
+    params: &WorkloadParams,
+    mods: ModSet,
+    n: usize,
+) -> Result<snoop_mva::MvaSolution, String> {
+    Scenario::with_params(mods, *params, n)
+        .to_mva_model()
+        .map_err(|e| e.to_string())?
+        .solve(n, &SolverOptions::default())
+        .map_err(|e| e.to_string())
+}
+
+fn mod_set(numbers: &[u8]) -> Result<ModSet, String> {
+    ModSet::from_numbers(numbers).map_err(|e| e.to_string())
+}
+
+/// Section 4.4, first comparison: processing power of modifications
+/// 1+2+3 at N = 9, 5% sharing (paper: MVA 4.32, GTPN 4.1, agreeing with
+/// Papamarcos & Patel's model for block size 4).
+fn table_power() -> Result<String, String> {
+    let s = solve_at(&WorkloadParams::appendix_a(SharingLevel::Five), mod_set(&[1, 2, 3])?, 9)?;
+    Ok(format!(
+        "4.4-1: processing power, mods 1+2+3, N = 9, 5% sharing\n\
+         paper MVA:  {PROCESSING_POWER_MVA:.2}\n\
+         paper GTPN: {PROCESSING_POWER_GTPN:.2}\n\
+         this MVA:   {:.2}\n\
+         check: processing power = speedup × τ/(τ+T_supply) = {:.2} × {:.4} = {:.2}\n",
+        s.processing_power,
+        s.speedup,
+        2.5 / 3.5,
+        s.speedup * 2.5 / 3.5
     ))
+}
+
+/// Section 4.4, second comparison: bus utilization of Write-Once against
+/// modifications 2+3 at ~99% sharing, unsaturated (paper: ≈ +10% for
+/// Write-Once, matching Katz et al.'s trace-driven results).
+fn table_busutil() -> Result<String, String> {
+    use snoop_workload::timing::TimingModel;
+    // The comparison's two ingredients (both from the paper's text): the
+    // probability that a block is already modified on a write hit is much
+    // lower under Write-Once than under modifications 2+3 (Write-Once
+    // keeps writing blocks through), and — per the modification-3
+    // discussion and the Katz et al. implementation — a `write-word`
+    // occupies the bus for two cycles where an `invalidate` takes one.
+    let base = WorkloadParams::high_sharing();
+    let wo_timing = TimingModel { t_write: 2.0, ..TimingModel::default() };
+    let m23 = mod_set(&[2, 3])?;
+    let mut out = String::from(
+        "4.4-2: bus utilization, Write-Once vs mods 2+3, ~99% sharing, unsaturated\n",
+    );
+    // The exact workload behind the paper's "+10%" is not published; the
+    // share of broadcast traffic (and hence the gap) scales with the
+    // shared hit rate, so report the band. The paper's figure falls inside
+    // it at trace-like hit rates.
+    let _ = writeln!(
+        out,
+        "{:>6} {:>10} {:>12} {:>10}",
+        "h_sw", "U_bus WO", "U_bus m2+3", "WO vs m2+3"
+    );
+    for h_sw in [0.5, 0.6, 0.7] {
+        let wo_params = WorkloadParams { h_sw, amod_sw: 0.1, ..base };
+        let m23_params = WorkloadParams { h_sw, amod_sw: 0.7, ..base };
+        let wo = MvaModel::with_timing(&wo_params, ModSet::new(), &wo_timing)
+            .map_err(|e| e.to_string())?
+            .solve(2, &SolverOptions::default())
+            .map_err(|e| e.to_string())?;
+        let m23 = solve_at(&m23_params, m23, 2)?;
+        let increase = (wo.bus_utilization / m23.bus_utilization - 1.0) * 100.0;
+        let _ = writeln!(
+            out,
+            "{h_sw:>6.2} {:>10.3} {:>12.3} {increase:>+9.1}%",
+            wo.bus_utilization, m23.bus_utilization
+        );
+    }
+    out.push_str(
+        "(paper: \"the MVA models predict a 10% increase in bus utilization\",\n \
+         agreeing with the trace-driven results of Katz et al. [KEWP85])\n",
+    );
+    Ok(out)
+}
+
+/// Section 4.4, third comparison: with `amod_p = 0.95` (the Archibald &
+/// Baer setting) modification 2 performs roughly equal to modification 1
+/// at 1% sharing.
+fn table_amod() -> Result<String, String> {
+    let base = WorkloadParams::appendix_a(SharingLevel::One);
+    let high_amod = WorkloadParams { amod_private: 0.95, ..base };
+    let mut out =
+        String::from("4.4-3: amod_p = 0.95 makes modification 2 ≈ modification 1 (1% sharing)\n");
+    let _ = writeln!(out, "{:<10} {:>12} {:>12} {:>12}", "N", "WO", "mod 1", "mod 2");
+    for n in [4usize, 8, 10] {
+        let speedups = |params: &WorkloadParams| -> Result<[f64; 3], String> {
+            Ok([
+                solve_at(params, ModSet::new(), n)?.speedup,
+                solve_at(params, mod_set(&[1])?, n)?.speedup,
+                solve_at(params, mod_set(&[2])?, n)?.speedup,
+            ])
+        };
+        // Default amod_p = 0.7: mod 1 clearly ahead of mod 2; at the
+        // Archibald & Baer amod_p = 0.95 the gap closes.
+        let default = speedups(&base)?;
+        let high = speedups(&high_amod)?;
+        let rows = [(n.to_string(), default, "0.70"), (String::new(), high, "0.95")];
+        for (label, [wo, m1, m2], amod) in rows {
+            let _ = writeln!(
+                out,
+                "{label:<10} {wo:>12.3} {m1:>12.3} {m2:>12.3}   (amod_p = {amod})"
+            );
+        }
+        let gap = |s: [f64; 3]| (s[1] - s[2]) / s[2] * 100.0;
+        let _ = writeln!(
+            out,
+            "{:<10} mod1-over-mod2 gap: {:+.1}% → {:+.1}%",
+            "",
+            gap(default),
+            gap(high)
+        );
+    }
+    out.push_str(
+        "(paper: with amod_p = 0.95 \"the performance of modification 2 [is] roughly\n \
+         equal to the performance of modification 1 for the 1% sharing case\")\n",
+    );
+    Ok(out)
 }
 
 fn cmd_figure(args: &ParsedArgs) -> Result<String, String> {
@@ -639,13 +834,12 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, String> {
     Ok(format!("{summary}\n"))
 }
 
-/// `snoop eval --scenarios FILE.json [--backends mva,sim] [--cache FILE]
+/// `snoop eval --scenarios FILE.json [--backends mva,sim]
 /// [--store DIR [--resume] [--store-verify] [--store-max-entries K]]`:
 /// runs a `snoop-scenario-v1` batch through the unified engine.
 ///
-/// Stdout is deterministic (no timings), so a repeat run with the same
-/// cache file or store is byte-identical; cache and store statistics go
-/// to stderr.
+/// Stdout is deterministic (no timings), so a repeat run over the same
+/// store is byte-identical; cache and store statistics go to stderr.
 fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
     let path = args.flag_str("scenarios", "");
     if path.is_empty() {
@@ -705,24 +899,6 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
         engine = engine.with_store(store);
     }
 
-    let cache_path = args.flag_str("cache", "");
-    if !cache_path.is_empty() {
-        let outcome = engine
-            .cache()
-            .load_file(std::path::Path::new(&cache_path))
-            .map_err(|e| format!("{cache_path}: {e}"))?;
-        let rejected = if outcome.rejected > 0 {
-            format!(" (rejected {})", outcome.rejected)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "cache: loaded {} entr{}{rejected} from {cache_path}",
-            outcome.loaded,
-            if outcome.loaded == 1 { "y" } else { "ies" }
-        );
-    }
-
     let results = engine.evaluate_batch(&scenarios);
     let mut out = format!(
         "eval: {} scenario(s) × {} backend(s) [{}]\n",
@@ -746,12 +922,6 @@ fn cmd_eval(args: &ParsedArgs) -> Result<String, String> {
         }
     }
 
-    if !cache_path.is_empty() {
-        engine
-            .cache()
-            .save_file(std::path::Path::new(&cache_path))
-            .map_err(|e| format!("cannot write {cache_path}: {e}"))?;
-    }
     let stats = engine.cache_stats();
     eprintln!(
         "cache: hits={} misses={} entries={} evictions={} hit_rate={:.1}%",
@@ -840,22 +1010,72 @@ fn cmd_gtpn(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_stress(args: &ParsedArgs) -> Result<String, String> {
+    use snoop_workload::derived::ModelInputs;
     let mods = protocol_flag(args)?;
     let n: usize = args.flag_num("n", 10)?;
-    let scenario = Scenario::with_params(mods, WorkloadParams::stress(), n);
-    let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
-    let mva = model
-        .solve(scenario.n, &scenario.solver_options())
-        .map_err(|e| e.to_string())?;
-    let sim = simulate(&scenario.to_sim_config()).map_err(|e| e.to_string())?;
-    let err = (mva.speedup - sim.speedup) / sim.speedup * 100.0;
-    Ok(format!(
+    // MVA and DES speedups (and bus utilizations) of one scenario.
+    let compare = |params: WorkloadParams| -> Result<_, String> {
+        let scenario = Scenario::with_params(mods, params, n);
+        let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
+        let mva = model.solve(n, &scenario.solver_options()).map_err(|e| e.to_string())?;
+        let sim = simulate(&scenario.to_sim_config()).map_err(|e| e.to_string())?;
+        let err = (mva.speedup - sim.speedup) / sim.speedup * 100.0;
+        Ok((model, mva, sim, err))
+    };
+    let (model, mva, sim, err) = compare(WorkloadParams::stress())?;
+    let mut out = format!(
         "Section 4.3 stress test (rep=amod_sw=0, csupply=1, p_sw=0.2, h_sw=0.1), \
          {mods}, N = {n}\n\
          MVA speedup {:.3}   simulation speedup {:.3}   error {err:+.2}%\n\
          (the paper reports MVA within 5% of the detailed model under stress)\n",
         mva.speedup, sim.speedup
-    ))
+    );
+    let _ = writeln!(
+        out,
+        "MVA U_bus {:.3}   simulation U_bus {:.3}",
+        mva.bus_utilization, sim.bus_utilization
+    );
+
+    // Ablation: the same model with the Eq. (13)/Appendix-B
+    // cache-interference masses zeroed — what the submodel contributes
+    // on the workload built to stress it.
+    let ablated = MvaModel::new(ModelInputs {
+        shared_miss_mass: 0.0,
+        sw_broadcast_mass: 0.0,
+        csupply_weighted_mass: 0.0,
+        dirty_supply_mass: 0.0,
+        ..*model.inputs()
+    })
+    .solve(n, &SolverOptions::default())
+    .map_err(|e| e.to_string())?;
+    let _ = writeln!(
+        out,
+        "interference submodel off: MVA speedup {:.4} vs {:.4} with it ({:+.2}%)",
+        ablated.speedup,
+        mva.speedup,
+        (ablated.speedup / mva.speedup - 1.0) * 100.0
+    );
+
+    // A second stress variant the paper gestures at: maximal broadcast
+    // pressure (half the references go to shared-writable blocks, 90% of
+    // them writes, and a written block is never found already modified).
+    let heavy = WorkloadParams::builder()
+        .streams(0.5, 0.0, 0.5)
+        .r_sw(0.1)
+        .h_sw(0.6)
+        .amod_sw(0.0)
+        .csupply_sw(1.0)
+        .build()
+        .map_err(|e| e.to_string())?;
+    let (_, mva, sim, err) = compare(heavy)?;
+    let _ = writeln!(
+        out,
+        "write-heavy shared variant: MVA speedup {:.3}   simulation speedup {:.3}   \
+         error {err:+.2}%",
+        mva.speedup,
+        sim.speedup
+    );
+    Ok(out)
 }
 
 fn cmd_trace(args: &ParsedArgs) -> Result<String, String> {
@@ -863,9 +1083,8 @@ fn cmd_trace(args: &ParsedArgs) -> Result<String, String> {
     let n: usize = args.flag_num("n", 4)?;
     let mut config = TraceSimConfig::new(n, mods);
     if args.switch("adaptive") {
-        let limit: u8 = args.flag_num("useless-limit", 2)?;
         config.update_policy =
-            snoop_sim::trace_mode::UpdatePolicy::Adaptive { useless_limit: limit };
+            snoop_sim::trace_mode::UpdatePolicy::Adaptive { useless_limit: 2 };
     }
     let source = config.generator().map_err(|e| e.to_string())?;
     let m = simulate_trace_source(&config.drive_config(), source).map_err(|e| e.to_string())?;
@@ -1322,19 +1541,111 @@ fn cmd_protocol(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn cmd_asymptote(_args: &ParsedArgs) -> Result<String, String> {
+    let parse = |mods: &str| -> Result<ModSet, String> {
+        mods.parse().map_err(|e: snoop_protocol::ProtocolError| e.to_string())
+    };
+    let limit = |mods: ModSet, sharing: SharingLevel| -> Result<_, String> {
+        let model =
+            Scenario::appendix_a(mods, sharing, 1).to_mva_model().map_err(|e| e.to_string())?;
+        Ok(asymptotic(model.inputs()))
+    };
+    // Finite-N speedups go through the escalation ladder, as sweeps do.
+    let speedup = |mods: ModSet, sharing: SharingLevel, n: usize| -> Result<f64, String> {
+        Scenario::appendix_a(mods, sharing, n)
+            .to_mva_model()
+            .map_err(|e| e.to_string())?
+            .solve_resilient(n, &ResilientOptions::default())
+            .map(|r| r.solution.speedup)
+            .map_err(|e| e.to_string())
+    };
+
     let mut out = String::from("asymptotic (N → ∞) speedups\n");
     let _ = writeln!(out, "{:<12} {:>8} {:>8} {:>8}", "protocol", "1%", "5%", "20%");
     for mods in ["WO", "WO+1", "WO+1+4", "WO+1+2+3", "WO+1+2+3+4"] {
-        let set: ModSet = mods.parse().map_err(|e: snoop_protocol::ProtocolError| e.to_string())?;
+        let set = parse(mods)?;
         let _ = write!(out, "{mods:<12}");
         for sharing in SharingLevel::ALL {
-            let model = Scenario::appendix_a(set, sharing, 1)
-                .to_mva_model()
-                .map_err(|e| e.to_string())?;
-            let a = asymptotic(model.inputs());
-            let _ = write!(out, " {:>8.3}", a.speedup);
+            let _ = write!(out, " {:>8.3}", limit(set, sharing)?.speedup);
         }
         let _ = writeln!(out);
+    }
+
+    // Section 4.1: Table 4.1's N = 100 column checks that "the
+    // performance does not change appreciably beyond twenty processors".
+    let _ = writeln!(out, "\nspeedups at N = 20, N = 100 and the N → ∞ limit");
+    let _ = writeln!(
+        out,
+        "{:<10} {:<9} {:>8} {:>8} {:>8} {:>12}",
+        "protocol", "sharing", "N=20", "N=100", "limit", "bottleneck"
+    );
+    for mods in ["WO", "WO+1", "WO+1+4"] {
+        let set = parse(mods)?;
+        for sharing in SharingLevel::ALL {
+            let a = limit(set, sharing)?;
+            let _ = writeln!(
+                out,
+                "{mods:<10} {:<9} {:>8.3} {:>8.3} {:>8.3} {:>12}",
+                sharing.to_string(),
+                speedup(set, sharing, 20)?,
+                speedup(set, sharing, 100)?,
+                a.speedup,
+                format!("{:?}", a.bottleneck).to_lowercase()
+            );
+        }
+    }
+
+    // "A greater potential gain for modification 4 than was evident from
+    // previous results for ten processors."
+    let (m1, m14) = (parse("WO+1")?, parse("WO+1+4")?);
+    let _ = writeln!(out, "\nmodification 4's advantage over modification 1 alone, by N:");
+    let _ = writeln!(
+        out,
+        "{:<9} {:>7} {:>7} {:>7} {:>7}",
+        "sharing", "N=10", "N=20", "N=100", "limit"
+    );
+    for sharing in SharingLevel::ALL {
+        let _ = write!(out, "{:<9}", sharing.to_string());
+        for n in [10, 20, 100] {
+            let gain = (speedup(m14, sharing, n)? / speedup(m1, sharing, n)? - 1.0) * 100.0;
+            let _ = write!(out, " {gain:>+6.1}%");
+        }
+        let gain = (limit(m14, sharing)?.speedup / limit(m1, sharing)?.speedup - 1.0) * 100.0;
+        let _ = writeln!(out, " {gain:>+6.1}%");
+    }
+    out.push_str("(the gain grows with N and with sharing — the paper's Section 4.1 point)\n");
+
+    // With the size-dependent sharing refinement (the [GrMi87]
+    // improvement the paper's Section 2.3 calls for), csupply → 1 as N
+    // grows: more misses are cache-supplied (fast), raising the large-N
+    // speedups.
+    let _ = writeln!(out, "\nsize-dependent sharing ([GrMi87] refinement, anchored at N = 10):");
+    let _ = writeln!(
+        out,
+        "{:<9} {:>11} {:>11} {:>13}",
+        "sharing", "fixed N=100", "refined", "csupply_sw@100"
+    );
+    for sharing in SharingLevel::ALL {
+        let refined = snoop_mva::sweep::refined_speedup_series(
+            ModSet::new(),
+            sharing,
+            &[100],
+            &SolverOptions::default(),
+            10,
+        )
+        .map_err(|e| e.to_string())?;
+        let base = WorkloadParams::appendix_a(sharing);
+        let csupply = snoop_workload::sharing::SizeDependentSharing::anchored(&base, 10)
+            .map_err(|e| e.to_string())?
+            .at_size(&base, 100)
+            .csupply_sw;
+        let _ = writeln!(
+            out,
+            "{:<9} {:>11.3} {:>11.3} {:>13.3}",
+            sharing.to_string(),
+            speedup(ModSet::new(), sharing, 100)?,
+            refined.points[0].speedup,
+            csupply
+        );
     }
     Ok(out)
 }
@@ -1397,6 +1708,71 @@ mod tests {
         assert!(out.contains("maximum |error|"));
         // 27 data rows (3 sharing × 9 N).
         assert_eq!(out.lines().filter(|l| l.contains("N=")).count(), 27);
+    }
+
+    #[test]
+    fn table_a_shows_the_published_gtpn_row() {
+        let out = run_tokens(&["table", "--panel", "a"]).unwrap();
+        assert!(out.contains("paper GTPN"), "{out}");
+        // 1% N=10: paper MVA 5.49, paper GTPN 5.60; no GTPN beyond N = 10.
+        let row = |label: &str| out.lines().find(|l| l.starts_with(label)).unwrap().to_string();
+        assert!(row("1% N=10 ").contains("5.600"), "{out}");
+        assert!(row("1% N=15 ").contains(" - "), "{out}");
+        assert!(!out.contains("this DES"), "DES only runs with --sim: {out}");
+    }
+
+    #[test]
+    fn table_sim_des_cells_equal_a_direct_simulation_of_each_cell() {
+        let out = run_tokens(&["table", "--panel", "a", "--sim"]).unwrap();
+        assert!(out.contains("worst |this MVA − this DES|: 4.30%"), "{out}");
+        // Columns after the sharing level: N, paper MVA, paper GTPN,
+        // this MVA, err%, this DES, vs DES%.
+        let cells: Vec<(SharingLevel, usize, &str)> = out
+            .lines()
+            .filter_map(|line| {
+                let (sharing, rest) = line.split_once(" N=")?;
+                let fields: Vec<&str> = rest.split_whitespace().collect();
+                let sharing = match sharing {
+                    "1%" => SharingLevel::One,
+                    "5%" => SharingLevel::Five,
+                    _ => SharingLevel::Twenty,
+                };
+                Some((sharing, fields[0].parse().unwrap(), fields[5]))
+            })
+            .collect();
+        assert_eq!(cells.len(), 27);
+        let direct = par_map(&cells, &ExecOptions::default(), |&(sharing, n, _)| {
+            let config = Scenario::appendix_a(ModSet::new(), sharing, n).to_sim_config();
+            format!("{:.3}", simulate(&config).unwrap().speedup)
+        });
+        for (&(sharing, n, printed), direct) in cells.iter().zip(&direct) {
+            assert_eq!(printed, direct, "{sharing} N={n}");
+        }
+    }
+
+    #[test]
+    fn table_power_reproduces_the_processing_power() {
+        let out = run_tokens(&["table", "--panel", "power"]).unwrap();
+        assert!(out.contains("paper MVA:  4.32"), "{out}");
+        assert!(out.contains("this MVA:   4.26"), "{out}");
+    }
+
+    #[test]
+    fn table_busutil_brackets_the_papers_ten_percent() {
+        let out = run_tokens(&["table", "--panel", "busutil"]).unwrap();
+        let row = out.lines().find(|l| l.trim_start().starts_with("0.70")).unwrap();
+        assert!(row.ends_with("+9.8%"), "{out}");
+        let row = out.lines().find(|l| l.trim_start().starts_with("0.50")).unwrap();
+        assert!(row.ends_with("+2.3%"), "{out}");
+    }
+
+    #[test]
+    fn table_amod_closes_the_mod1_mod2_gap() {
+        let out = run_tokens(&["table", "--panel", "amod"]).unwrap();
+        let gaps: Vec<&str> = out.lines().filter(|l| l.contains("gap:")).collect();
+        assert_eq!(gaps.len(), 3, "{out}");
+        // The last row is N = 10.
+        assert!(gaps[2].ends_with("+20.5% → +1.2%"), "{out}");
     }
 
     #[test]
@@ -1481,6 +1857,22 @@ mod tests {
         let out = run_tokens(&["asymptote"]).unwrap();
         assert!(out.contains("WO+1+4"));
         assert!(out.lines().count() >= 6);
+    }
+
+    #[test]
+    fn asymptote_shows_modification_4s_growing_gain() {
+        let out = run_tokens(&["asymptote"]).unwrap();
+        assert!(out.contains("N=100"), "{out}");
+        assert!(out.contains("bottleneck"), "{out}");
+        assert!(out.contains("csupply_sw@100"), "{out}");
+        // 20% sharing: +24.3% at N = 10 grows to +38.5% in the limit.
+        let row = out
+            .lines()
+            .skip_while(|l| !l.starts_with("modification 4's advantage"))
+            .find(|l| l.starts_with("20%"))
+            .unwrap();
+        let gains: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(gains, ["20%", "+24.3%", "+36.2%", "+38.3%", "+38.5%"], "{row}");
     }
 
     #[test]
@@ -1746,6 +2138,14 @@ mod tests {
     }
 
     #[test]
+    fn stress_adds_the_ablation_and_the_write_heavy_variant() {
+        let out = run_tokens(&["stress", "--n", "10"]).unwrap();
+        assert!(out.contains("error +2.18%"), "{out}");
+        assert!(out.contains("interference submodel off: MVA speedup 2.6860 vs 2.6735"), "{out}");
+        assert!(out.contains("write-heavy shared variant: MVA speedup 1.708"), "{out}");
+    }
+
+    #[test]
     fn stress_accepts_a_protocol() {
         let wo = run_tokens(&["stress", "--n", "4"]).unwrap();
         assert!(wo.contains("WO, N = 4"), "{wo}");
@@ -1760,7 +2160,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_runs_a_batch_and_repeats_from_the_cache() {
+    fn eval_runs_a_batch_with_one_line_per_job() {
         use snoop_mva::engine::{Scenario, SCHEMA};
         use snoop_protocol::ModSet;
         use snoop_workload::params::SharingLevel;
@@ -1773,8 +2173,6 @@ mod tests {
         ]);
         assert!(batch.contains(SCHEMA));
         std::fs::write(&scenarios_path, batch).unwrap();
-        let cache_path = dir.join("cache.json");
-        let _ = std::fs::remove_file(&cache_path);
 
         let tokens = [
             "eval",
@@ -1782,18 +2180,13 @@ mod tests {
             scenarios_path.to_str().unwrap(),
             "--backends",
             "mva,mva-resilient",
-            "--cache",
-            cache_path.to_str().unwrap(),
         ];
         let first = run_tokens(&tokens).unwrap();
         assert!(first.contains("2 scenario(s) × 2 backend(s)"), "{first}");
         // One summary line per (scenario, backend) job.
         assert_eq!(first.matches("speedup=").count(), 4, "{first}");
-        assert!(cache_path.exists());
-        // The repeat run is served entirely from the spilled cache and is
-        // byte-identical (summaries carry no timings).
-        let second = run_tokens(&tokens).unwrap();
-        assert_eq!(first, second);
+        // Summaries carry no timings, so a repeat run is byte-identical.
+        assert_eq!(first, run_tokens(&tokens).unwrap());
     }
 
     #[test]

@@ -60,9 +60,8 @@ fn figure_csv_is_parseable() {
 #[test]
 fn eval_repeat_run_is_fully_cached_and_byte_identical() {
     let dir = std::env::temp_dir().join("snoop_eval_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cache.json");
-    let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store");
     // The checked-in example batch, resolved relative to the workspace root.
     let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/example.json");
 
@@ -72,21 +71,28 @@ fn eval_repeat_run_is_fully_cached_and_byte_identical() {
         scenarios,
         "--backends",
         "mva",
-        "--cache",
-        cache.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
     ];
     let first = snoop(&args);
     assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
     let stderr1 = String::from_utf8_lossy(&first.stderr);
-    assert!(stderr1.contains("hits=0"), "{stderr1}");
-    assert!(cache.exists());
+    assert!(store_line(&stderr1).contains("hits=0 "), "{stderr1}");
 
+    // The second process starts with a cold in-memory cache: the store
+    // answers every job, so nothing is computed or written.
     let second = snoop(&args);
     assert!(second.status.success());
     assert_eq!(first.stdout, second.stdout, "repeat stdout must be byte-identical");
     let stderr2 = String::from_utf8_lossy(&second.stderr);
-    assert!(stderr2.contains("hit_rate=100.0%"), "{stderr2}");
-    assert!(stderr2.contains("misses=0"), "{stderr2}");
+    let line = store_line(&stderr2);
+    assert!(line.contains("misses=0 "), "{stderr2}");
+    assert!(line.contains("writes=0 "), "{stderr2}");
+}
+
+/// The `store:` statistics line `eval --store` prints on stderr.
+fn store_line(stderr: &str) -> &str {
+    stderr.lines().find(|l| l.starts_with("store:")).expect("store statistics line")
 }
 
 #[test]

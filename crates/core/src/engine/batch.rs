@@ -158,7 +158,7 @@ impl Engine {
         self.backends.iter().map(|b| b.id()).collect()
     }
 
-    /// The engine's result cache (for stats, spill and preloading).
+    /// The engine's in-memory result cache (for stats and preloading).
     pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
@@ -616,20 +616,6 @@ mod tests {
         let again = engine.evaluate_batch(&[tiny]);
         assert!(again[0].result.as_ref().unwrap().provenance.cached);
         assert!(again[1].result.is_err());
-    }
-
-    #[test]
-    fn preloaded_spill_serves_hits_across_engines() {
-        let first = Engine::new().with_backend(MvaBackend);
-        first.evaluate_batch(&[scenario(4), scenario(8)]);
-        let spill = first.cache().to_json();
-
-        let second = Engine::new().with_backend(MvaBackend);
-        assert_eq!(second.cache().load_json(&spill).unwrap().loaded, 2);
-        let results = second.evaluate_batch(&[scenario(4), scenario(8)]);
-        assert!(results.iter().all(|r| r.result.as_ref().unwrap().provenance.cached));
-        let stats = second.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 0));
     }
 
     fn fresh_store_dir(name: &str) -> std::path::PathBuf {

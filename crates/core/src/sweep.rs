@@ -206,19 +206,6 @@ pub fn figure_4_1_grid() -> Vec<(ModSet, SharingLevel)> {
     grid
 }
 
-/// Solves the full Figure 4.1 family serially (see
-/// [`figure_4_1_family_exec`] for the parallel form).
-///
-/// # Errors
-///
-/// Propagates model construction and solver errors.
-pub fn figure_4_1_family(
-    sizes: &[usize],
-    options: &SolverOptions,
-) -> Result<Vec<SpeedupSeries>, MvaError> {
-    figure_4_1_family_exec(sizes, options, &ExecOptions::SERIAL)
-}
-
 /// Solves the full Figure 4.1 family with the grid cells evaluated in
 /// parallel: each (protocol, sharing) series is an independent work item,
 /// and within a series the sizes remain sequential. Results are
@@ -344,7 +331,9 @@ mod tests {
 
     #[test]
     fn figure_family_has_nine_series() {
-        let family = figure_4_1_family(&[1, 10], &SolverOptions::default()).unwrap();
+        let family =
+            figure_4_1_family_exec(&[1, 10], &SolverOptions::default(), &ExecOptions::SERIAL)
+                .unwrap();
         assert_eq!(family.len(), 9);
         // Distinct protocol/sharing combinations.
         let mut keys: Vec<String> =

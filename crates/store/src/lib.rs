@@ -1,10 +1,9 @@
 //! `snoop-store` — a durable, sharded, crash-safe on-disk result store.
 //!
-//! The evaluation engine's in-memory [`ResultCache`] spills to a single
-//! JSON blob: one torn write loses the whole result set, and a killed
-//! sweep restarts from zero. This crate replaces that spill with real
-//! storage infrastructure, sized for million-scenario design-space
-//! exploration:
+//! The evaluation engine's in-memory `ResultCache` forgets every result
+//! when the process exits, so a killed sweep would restart from zero.
+//! This crate is the durable tier behind that cache (`snoop eval --store
+//! DIR`), sized for million-scenario design-space exploration:
 //!
 //! * **Sharded layout** — entries live under `shards/<hh>/`, where `hh`
 //!   is the first byte of the key's FNV-1a hash in hex, so no directory

@@ -38,8 +38,9 @@ pub const STORE_VERSION: &str = "snoop-store-v1";
 pub const STORE_MARKER: &str = "snoop-store.version";
 
 /// Test-only crash hook: when this environment variable holds `N`, the
-/// process exits with status 3 immediately after the `N`-th successful
-/// entry publish. Deterministic kill-point tests use it to die at an
+/// process exits with status 3 immediately after the `N`-th entry
+/// publish, with exactly `N` entries published even when worker threads
+/// put concurrently. Deterministic kill-point tests use it to die at an
 /// exact persistence boundary; production runs never set it.
 pub const KILL_AFTER_PUTS_ENV: &str = "SNOOP_STORE_KILL_AFTER_PUTS";
 
@@ -171,8 +172,9 @@ pub struct DiskStore {
     entries: AtomicUsize,
     /// Unique temp-file discriminator within this process.
     temp_seq: AtomicU64,
-    /// Successful publishes, for the kill-point hook.
+    /// Kill-point tickets handed out and publishes finished under them.
     puts: AtomicU64,
+    published: AtomicU64,
     kill_after: Option<u64>,
 }
 
@@ -285,6 +287,7 @@ impl DiskStore {
             entries: AtomicUsize::new(entries),
             temp_seq: AtomicU64::new(0),
             puts: AtomicU64::new(0),
+            published: AtomicU64::new(0),
             kill_after,
         })
     }
@@ -401,8 +404,13 @@ impl DiskStore {
                 });
             }
         }
+        let ticket = self.kill_ticket();
         let existed = self.fs.exists(&final_path);
-        if let Err(e) = self.fs.rename(&temp_path, &final_path) {
+        let renamed = self.fs.rename(&temp_path, &final_path);
+        if let Some(ticket) = ticket {
+            self.kill_point(ticket);
+        }
+        if let Err(e) = renamed {
             self.stat(|s| s.write_errors += 1);
             let _ = self.fs.remove_file(&temp_path);
             return Err(StoreError::Io {
@@ -416,15 +424,36 @@ impl DiskStore {
         }
         self.stat(|s| s.writes += 1);
         self.enforce_bound();
+        Ok(())
+    }
 
-        // Deterministic kill point for crash tests (see KILL_AFTER_PUTS_ENV).
-        if let Some(limit) = self.kill_after {
-            if self.puts.fetch_add(1, Ordering::Relaxed) + 1 == limit {
-                eprintln!("store: injected kill after {limit} put(s)");
-                std::process::exit(3);
+    /// The kill-point ticket of a put about to publish (see
+    /// [`KILL_AFTER_PUTS_ENV`]). A put past the limit never publishes: it
+    /// parks until the holder of the last ticket ends the process.
+    fn kill_ticket(&self) -> Option<u64> {
+        let limit = self.kill_after?;
+        let ticket = self.puts.fetch_add(1, Ordering::SeqCst) + 1;
+        if ticket > limit {
+            loop {
+                std::thread::park();
             }
         }
-        Ok(())
+        Some(ticket)
+    }
+
+    /// Counts one finished publish. The holder of the last ticket waits
+    /// for every earlier ticket's publish, then exits with status 3, so
+    /// exactly the limit's entries are on disk.
+    fn kill_point(&self, ticket: u64) {
+        let Some(limit) = self.kill_after else { return };
+        self.published.fetch_add(1, Ordering::SeqCst);
+        if ticket == limit {
+            while self.published.load(Ordering::SeqCst) < limit {
+                std::thread::yield_now();
+            }
+            eprintln!("store: injected kill after {limit} put(s)");
+            std::process::exit(3);
+        }
     }
 
     /// Tries to claim an advisory work token. `None` means a live peer

@@ -1,9 +1,12 @@
 //! Integration tests for the unified evaluation engine through the
-//! `snoop` facade: content-hash stability, cache accounting, mixed-backend
-//! batches, and the batched-vs-one-at-a-time determinism guarantee.
+//! `snoop` facade: content-hash stability, cache accounting, store
+//! reloads, mixed-backend batches, and the batched-vs-one-at-a-time
+//! determinism guarantee.
+
+use std::sync::Arc;
 
 use snoop::engine::{
-    Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario, SimBackend, SCHEMA,
+    DiskStore, Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario, SimBackend, SCHEMA,
 };
 use snoop::numeric::exec::ExecOptions;
 use snoop::protocol::ModSet;
@@ -168,23 +171,24 @@ fn batched_evaluation_is_bit_identical_to_one_at_a_time_at_every_thread_count() 
 }
 
 #[test]
-fn cache_spills_to_json_and_reloads_for_a_fully_cached_run() {
-    let dir = std::env::temp_dir().join("snoop_engine_api_spill");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.json");
-    let _ = std::fs::remove_file(&path);
+fn store_reloads_for_a_fully_cached_run() {
+    let dir = std::env::temp_dir().join("snoop_engine_api_store");
+    let _ = std::fs::remove_dir_all(&dir);
     let scenarios = [wo(2), wo(7), wo(12)];
 
-    let first = Engine::new().with_backend(MvaBackend);
+    let first = Engine::new()
+        .with_backend(MvaBackend)
+        .with_store(Arc::new(DiskStore::open(&dir).unwrap()));
     let a = first.evaluate_batch(&scenarios);
-    first.cache().save_file(&path).unwrap();
     assert_eq!(first.cache_stats().entries, 3);
 
-    let second = Engine::new().with_backend(MvaBackend);
-    assert_eq!(second.cache().load_file(&path).unwrap().loaded, 3);
+    // A second engine over the same directory is another process: its
+    // in-memory cache is cold, and the store answers every job.
+    let store = Arc::new(DiskStore::open(&dir).unwrap());
+    let second = Engine::new().with_backend(MvaBackend).with_store(Arc::clone(&store));
     let b = second.evaluate_batch(&scenarios);
-    let stats = second.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (3, 0), "run two is 100% cache hits");
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses, stats.writes), (3, 0, 0), "run two computes nothing");
     for (x, y) in a.iter().zip(&b) {
         let (x, y) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
         assert_eq!(x, y);
