@@ -3,10 +3,12 @@
 //! Emits four files so the perf trajectory of the suite is tracked from
 //! one PR to the next:
 //!
-//! * `BENCH_sweep.json` — the full Figure 4.1 resilient sweep grid, serial
-//!   vs. parallel, with wall time, total solver iterations, thread count
-//!   and a bit-identical check. The printed summary adds the MVA solve
-//!   time at N = 1 … 10 000 (the Section 3.2 efficiency claim).
+//! * `BENCH_sweep.json` — the full Figure 4.1 sweep grid through the
+//!   engine's warm-chained resilient backend (the path `snoop sweep`
+//!   takes), serial vs. parallel, with wall time, total solver
+//!   iterations, thread count and a bit-identical check. The printed
+//!   summary adds the MVA solve time at N = 1 … 10 000 (the Section 3.2
+//!   efficiency claim).
 //! * `BENCH_gtpn.json` — the Write-Once coherence GTPN: reachability
 //!   expansion (serial vs. parallel frontier) and stationary-distribution
 //!   timing, dense LU vs. sparse Aitken-accelerated power iteration.
@@ -38,8 +40,8 @@ use std::time::Instant;
 use snoop_gtpn::chain::transition_matrix;
 use snoop_gtpn::models::coherence::CoherenceNet;
 use snoop_gtpn::reachability::{explore, ReachabilityOptions};
-use snoop_mva::resilient::ResilientOptions;
-use snoop_mva::sweep::resilient_figure_4_1_family;
+use snoop_mva::engine::{Engine, ResilientMvaBackend, Scenario};
+use snoop_mva::sweep::figure_4_1_grid;
 use snoop_mva::{MvaModel, SolverOptions};
 use snoop_numeric::exec::{hardware_parallelism, par_map, ExecOptions};
 use snoop_numeric::markov::{steady_state_dense, steady_state_sparse, SparseOptions};
@@ -158,25 +160,42 @@ fn bench_sweep(
     } else {
         (1..=20).chain([30, 50, 100]).collect()
     };
-    let options = ResilientOptions::default();
+    // The sweep path: warm-chained escalation ladders through the
+    // engine, one fresh engine per run so nothing is served from cache.
+    let grid = figure_4_1_grid();
+    let scenarios: Vec<Scenario> = grid
+        .iter()
+        .flat_map(|&(mods, sharing)| {
+            sizes.iter().map(move |&n| Scenario::appendix_a(mods, sharing, n))
+        })
+        .collect();
+    let run = |exec: ExecOptions| {
+        Engine::new()
+            .with_backend(ResilientMvaBackend { warm_start_chains: true, ..Default::default() })
+            .with_exec(exec)
+            .evaluate_batch(&scenarios)
+    };
 
     let start = Instant::now();
     let serial = {
         let _t = trace::span("bench.sweep.serial");
-        resilient_figure_4_1_family(&sizes, &options, true, &ExecOptions::SERIAL)
-            .map_err(|e| e.to_string())?
+        run(ExecOptions::SERIAL)
     };
     let serial_ms = millis(start);
 
     let start = Instant::now();
     let parallel = {
         let _t = trace::span("bench.sweep.parallel");
-        resilient_figure_4_1_family(&sizes, &options, true, exec).map_err(|e| e.to_string())?
+        run(*exec)
     };
     let parallel_ms = millis(start);
 
     let bit_identical = serial == parallel;
-    let total_iterations: usize = serial.iter().map(|s| s.total_iterations()).sum();
+    let total_iterations: usize = serial
+        .iter()
+        .filter_map(|r| r.result.as_ref().ok())
+        .map(|e| e.provenance.iterations)
+        .sum();
     let threads = exec.resolved_threads();
     let speedup = serial_ms / parallel_ms.max(1e-9);
 
@@ -184,7 +203,7 @@ fn bench_sweep(
         out,
         "sweep: {} cells x {} sizes, serial {serial_ms:.1} ms, \
          {threads}-thread {parallel_ms:.1} ms ({speedup:.2}x), bit-identical: {bit_identical}",
-        serial.len(),
+        grid.len(),
         sizes.len()
     );
 
@@ -193,7 +212,7 @@ fn bench_sweep(
     let mut json = String::from("{\n");
     json.push_str(meta);
     let _ = writeln!(json, "  \"benchmark\": \"figure_4_1_resilient_sweep\",");
-    let _ = writeln!(json, "  \"grid_cells\": {},", serial.len());
+    let _ = writeln!(json, "  \"grid_cells\": {},", grid.len());
     let _ = writeln!(json, "  \"sizes\": {},", sizes.len());
     let _ = writeln!(json, "  \"max_n\": {},", sizes.last().copied().unwrap_or(0));
     let _ = writeln!(json, "  \"total_iterations\": {total_iterations},");

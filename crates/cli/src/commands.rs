@@ -334,7 +334,7 @@ fn cmd_solve(args: &ParsedArgs) -> Result<String, String> {
     // is richer than the engine's common currency, so `solve` keeps the
     // direct resilient path — built from the blessed conversion.
     let model = scenario.to_mva_model().map_err(|e| e.to_string())?;
-    let resilient = model.solve_resilient(scenario.n, &options).map_err(|e| e.to_string())?;
+    let resilient = model.solve_resilient(scenario.n, None, &options).map_err(|e| e.to_string())?;
     let mut out = format!("{}\n{}\n", scenario.protocol, resilient.solution);
     // Only surface the ladder when it actually had to escalate.
     if resilient.diagnostics.retries() > 0 {
@@ -380,7 +380,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
 
     // Warm-started escalation-ladder sweep through the engine: the
     // resilient backend chains each N from the previous N's converged
-    // state, exactly like the legacy `resilient_speedup_series`.
+    // state (a failed warm solve is retried cold).
     let options = resilient_flags(args)?;
     let engine = Engine::new().with_backend(ResilientMvaBackend {
         max_damping_retries: options.max_damping_retries,
@@ -1554,7 +1554,7 @@ fn cmd_asymptote(_args: &ParsedArgs) -> Result<String, String> {
         Scenario::appendix_a(mods, sharing, n)
             .to_mva_model()
             .map_err(|e| e.to_string())?
-            .solve_resilient(n, &ResilientOptions::default())
+            .solve_resilient(n, None, &ResilientOptions::default())
             .map(|r| r.solution.speedup)
             .map_err(|e| e.to_string())
     };

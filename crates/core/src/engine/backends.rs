@@ -18,7 +18,6 @@ use super::evaluation::{BackendId, EvalError, Evaluation, Provenance};
 use super::scenario::Scenario;
 use crate::resilient::ResilientOptions;
 use crate::solver::MvaModel;
-use crate::MvaError;
 
 /// Opens the standard per-solve timeline span: named after the backend,
 /// tagged with the scenario's content hash, family hash and system size.
@@ -82,31 +81,70 @@ pub trait Evaluator: Send + Sync {
     }
 }
 
-/// Converts an MVA solution into the common currency.
-fn mva_evaluation(
+/// The one body behind both MVA backends. The family's model is built
+/// once, inside the first member's solve span; each member is solved
+/// through the escalation ladder configured by `ladder` and, with
+/// `ladder.warm_start_chains`, seeded from the previous member's
+/// converged state (members are ordered by `N` by the engine). Only the
+/// resilient backend reports the winning strategy.
+fn evaluate_mva_family(
     backend: BackendId,
-    s: &crate::outputs::MvaSolution,
-    iterations: usize,
-    strategy: Option<String>,
-    wall_ms: f64,
-) -> Evaluation {
-    Evaluation {
-        backend,
-        n: s.n,
-        r: s.r,
-        speedup: s.speedup,
-        speedup_half_width: None,
-        bus_utilization: s.bus_utilization,
-        memory_utilization: Some(s.memory_utilization),
-        w_bus: Some(s.w_bus),
-        w_mem: Some(s.w_mem),
-        q_bus: Some(s.q_bus),
-        provenance: Provenance { iterations, strategy, wall_ms, ..Provenance::new(0, 0, 0) },
-    }
+    ladder: &ResilientMvaBackend,
+    scenarios: &[&Scenario],
+) -> Vec<Result<Evaluation, EvalError>> {
+    let mut model: Option<Result<MvaModel, EvalError>> = None;
+    let mut seed: Option<[f64; 3]> = None;
+    scenarios
+        .iter()
+        .map(|scenario| {
+            let started = Instant::now();
+            let mut member_trace = solve_trace(backend, scenario);
+            if ladder.warm_start_chains {
+                member_trace.arg("warm", seed.is_some().to_string());
+            }
+            let model = model
+                .get_or_insert_with(|| scenario.to_mva_model())
+                .as_ref()
+                .map_err(Clone::clone)?;
+            let result = model.solve_resilient(scenario.n, seed, &ladder.options(scenario));
+            seed = result
+                .as_ref()
+                .ok()
+                .filter(|_| ladder.warm_start_chains)
+                .map(|r| [r.solution.w_bus, r.solution.w_mem, r.solution.r]);
+            let resilient =
+                result.map_err(|e| EvalError::Failed { backend, reason: e.to_string() })?;
+            let s = &resilient.solution;
+            let strategy = resilient
+                .diagnostics
+                .winning_strategy()
+                .filter(|_| backend == BackendId::ResilientMva)
+                .map(|s| s.to_string());
+            Ok(Evaluation {
+                backend,
+                n: s.n,
+                r: s.r,
+                speedup: s.speedup,
+                speedup_half_width: None,
+                bus_utilization: s.bus_utilization,
+                memory_utilization: Some(s.memory_utilization),
+                w_bus: Some(s.w_bus),
+                w_mem: Some(s.w_mem),
+                q_bus: Some(s.q_bus),
+                provenance: Provenance {
+                    iterations: resilient.diagnostics.total_iterations(),
+                    strategy,
+                    wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                    ..Provenance::new(0, 0, 0)
+                },
+            })
+        })
+        .collect()
 }
 
 /// The paper's customized MVA fixed point, solved with the scenario's
-/// plain [`crate::SolverOptions`].
+/// [`crate::SolverOptions`] through [`MvaModel::solve`] — the default
+/// escalation ladder from cold.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MvaBackend;
 
@@ -116,20 +154,8 @@ impl Evaluator for MvaBackend {
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
-        let started = Instant::now();
         let _span = snoop_numeric::probe::span("engine.mva");
-        let _trace = solve_trace(BackendId::Mva, scenario);
-        let model = scenario.to_mva_model()?;
-        let solution = model
-            .solve(scenario.n, &scenario.solver_options())
-            .map_err(|e| EvalError::Failed { backend: BackendId::Mva, reason: e.to_string() })?;
-        Ok(mva_evaluation(
-            BackendId::Mva,
-            &solution,
-            solution.iterations,
-            None,
-            started.elapsed().as_secs_f64() * 1e3,
-        ))
+        self.evaluate_group(&[scenario]).remove(0)
     }
 
     fn cost_estimate(&self, scenario: &Scenario) -> f64 {
@@ -142,42 +168,17 @@ impl Evaluator for MvaBackend {
     }
 
     fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        let Some(first) = scenarios.first() else {
-            return Vec::new();
-        };
-        // One model build for the whole family; `solve` is pure, so each
-        // result is bit-identical to a standalone `evaluate`.
-        let model = match first.to_mva_model() {
-            Ok(model) => model,
-            Err(e) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
-        };
-        scenarios
-            .iter()
-            .map(|scenario| {
-                let started = Instant::now();
-                let _trace = solve_trace(BackendId::Mva, scenario);
-                let solution = model
-                    .solve(scenario.n, &scenario.solver_options())
-                    .map_err(|e| EvalError::Failed {
-                        backend: BackendId::Mva,
-                        reason: e.to_string(),
-                    })?;
-                Ok(mva_evaluation(
-                    BackendId::Mva,
-                    &solution,
-                    solution.iterations,
-                    None,
-                    started.elapsed().as_secs_f64() * 1e3,
-                ))
-            })
-            .collect()
+        // Cold starts only, so each result is bit-identical to a
+        // standalone `evaluate`.
+        evaluate_mva_family(BackendId::Mva, &ResilientMvaBackend::default(), scenarios)
     }
 }
 
 /// The MVA behind the resilient escalation ladder
-/// ([`MvaModel::solve_resilient`]), optionally warm-starting sweep-adjacent
-/// batch members from each other like
-/// [`crate::sweep::resilient_speedup_series`] does.
+/// ([`MvaModel::solve_resilient`]) with a configurable depth and deadline,
+/// reporting the winning strategy. With `warm_start_chains` it is the
+/// sweep path: sweep-adjacent batch members are warm-started from each
+/// other.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientMvaBackend {
     /// Retries beyond the first plain attempt (the ladder depth).
@@ -185,9 +186,9 @@ pub struct ResilientMvaBackend {
     /// Optional wall-clock deadline per attempt.
     pub deadline: Option<std::time::Duration>,
     /// Warm-start each group member from the previous member's converged
-    /// state (members are ordered by `N` by the engine). This mirrors the
-    /// sweep path exactly — including its cold-retry fallback — and can
-    /// change iteration *counts* (not solutions beyond the solver
+    /// state (members are ordered by `N` by the engine). A failed warm
+    /// solve is retried cold inside [`MvaModel::solve_resilient`]. This
+    /// can change iteration *counts* (not solutions beyond the solver
     /// tolerance), so it is off by default.
     pub warm_start_chains: bool,
 }
@@ -211,44 +212,6 @@ impl ResilientMvaBackend {
             deadline: self.deadline,
         }
     }
-
-    /// Solves one system size on `model`, warm-started from `seed`, with
-    /// the same fallback contract as the resilient sweep: a failed warm
-    /// solve is retried cold before being reported as failed.
-    fn solve_chained(
-        &self,
-        model: &MvaModel,
-        scenario: &Scenario,
-        seed: Option<[f64; 3]>,
-    ) -> Result<crate::resilient::ResilientSolution, MvaError> {
-        model
-            .solve_resilient_seeded(scenario.n, seed, &self.options(scenario))
-            .or_else(|e| {
-                if seed.is_some() && !matches!(e, MvaError::InvalidSystemSize(_)) {
-                    model.solve_resilient(scenario.n, &self.options(scenario))
-                } else {
-                    Err(e)
-                }
-            })
-    }
-
-    fn package(
-        &self,
-        result: Result<crate::resilient::ResilientSolution, MvaError>,
-        started: Instant,
-    ) -> Result<Evaluation, EvalError> {
-        let resilient = result.map_err(|e| EvalError::Failed {
-            backend: BackendId::ResilientMva,
-            reason: e.to_string(),
-        })?;
-        Ok(mva_evaluation(
-            BackendId::ResilientMva,
-            &resilient.solution,
-            resilient.diagnostics.total_iterations(),
-            resilient.diagnostics.winning_strategy().map(|s| s.to_string()),
-            started.elapsed().as_secs_f64() * 1e3,
-        ))
-    }
 }
 
 impl Evaluator for ResilientMvaBackend {
@@ -257,11 +220,8 @@ impl Evaluator for ResilientMvaBackend {
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, EvalError> {
-        let started = Instant::now();
         let _span = snoop_numeric::probe::span("engine.mva_resilient");
-        let _trace = solve_trace(BackendId::ResilientMva, scenario);
-        let model = scenario.to_mva_model()?;
-        self.package(model.solve_resilient(scenario.n, &self.options(scenario)), started)
+        self.evaluate_group(&[scenario]).remove(0)
     }
 
     fn cost_estimate(&self, scenario: &Scenario) -> f64 {
@@ -274,33 +234,7 @@ impl Evaluator for ResilientMvaBackend {
     }
 
     fn evaluate_group(&self, scenarios: &[&Scenario]) -> Vec<Result<Evaluation, EvalError>> {
-        if !self.warm_start_chains {
-            return scenarios.iter().map(|s| self.evaluate(s)).collect();
-        }
-        let Some(first) = scenarios.first() else {
-            return Vec::new();
-        };
-        let model = match first.to_mva_model() {
-            Ok(model) => model,
-            Err(e) => return scenarios.iter().map(|_| Err(e.clone())).collect(),
-        };
-        // The sweep's warm chain: seed each size from the previous
-        // converged [w_bus, w_mem, R], dropping the seed after a failure.
-        let mut seed: Option<[f64; 3]> = None;
-        scenarios
-            .iter()
-            .map(|scenario| {
-                let started = Instant::now();
-                let mut member_trace = solve_trace(BackendId::ResilientMva, scenario);
-                member_trace.arg("warm", seed.is_some().to_string());
-                let result = self.solve_chained(&model, scenario, seed);
-                seed = result
-                    .as_ref()
-                    .ok()
-                    .map(|r| [r.solution.w_bus, r.solution.w_mem, r.solution.r]);
-                self.package(result, started)
-            })
-            .collect()
+        evaluate_mva_family(BackendId::ResilientMva, self, scenarios)
     }
 }
 

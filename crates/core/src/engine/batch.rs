@@ -743,35 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_output_is_bit_identical_across_threads_with_histograms_enabled() {
-        // The telemetry plane must stay observational: collecting job
-        // wall-time and cache-latency histograms from concurrently
-        // executing workers cannot perturb the solve.
-        let _session = snoop_numeric::probe::session();
-        let scenarios = [scenario(2), scenario(4), scenario(8), scenario(16)];
-        let run = |threads: usize| {
-            let engine = Engine::new()
-                .with_backend(MvaBackend)
-                .with_exec(ExecOptions::with_threads(threads));
-            engine.evaluate_batch(&scenarios)
-        };
-        let serial = run(1);
-        for threads in [2, 8] {
-            let parallel = run(threads);
-            for (a, b) in serial.iter().zip(&parallel) {
-                let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-                assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "{threads} threads");
-                assert_eq!(a.provenance.iterations, b.provenance.iterations);
-            }
-        }
-        // And collection really ran: every computed job fed the
-        // per-backend wall-time histogram (3 cold runs x 4 scenarios).
-        let snap = snoop_numeric::probe::snapshot();
-        let hist = snap.hists.iter().find(|(n, _)| n == "engine.job_ms.mva");
-        assert!(hist.is_some_and(|(_, h)| h.count() == 12), "job histogram populated");
-    }
-
-    #[test]
     fn warm_chained_resilient_backend_is_deterministic_across_threads() {
         let scenarios = [scenario(2), scenario(4), scenario(8), scenario(16)];
         let run = |threads: usize| {
@@ -790,6 +761,87 @@ mod tests {
                 let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
                 assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "{threads} threads");
                 assert_eq!(a.provenance.iterations, b.provenance.iterations);
+            }
+        }
+    }
+
+    /// Runs the Figure 4.1 grid over Table 4.1's sizes through `backend`
+    /// on a fresh engine: one result vector per grid cell, in size order.
+    fn table_4_1_grid(backend: impl Evaluator + 'static) -> Vec<Vec<EngineResult>> {
+        use crate::sweep::{figure_4_1_grid, TABLE_4_1_N};
+        let engine = Engine::new().with_backend(backend);
+        figure_4_1_grid()
+            .into_iter()
+            .map(|(mods, sharing)| {
+                let scenarios = TABLE_4_1_N.map(|n| Scenario::appendix_a(mods, sharing, n));
+                engine.evaluate_batch(&scenarios)
+            })
+            .collect()
+    }
+
+    fn total_iterations(cell: &[EngineResult]) -> usize {
+        cell.iter().map(|r| r.result.as_ref().unwrap().provenance.iterations).sum()
+    }
+
+    #[test]
+    fn warm_chains_beat_cold_starts_on_every_figure_4_1_cell() {
+        let warm = table_4_1_grid(ResilientMvaBackend {
+            warm_start_chains: true,
+            ..Default::default()
+        });
+        let cold = table_4_1_grid(ResilientMvaBackend::default());
+        for ((mods, sharing), (warm, cold)) in
+            crate::sweep::figure_4_1_grid().iter().zip(warm.iter().zip(&cold))
+        {
+            let (warm_total, cold_total) = (total_iterations(warm), total_iterations(cold));
+            assert!(
+                warm_total < cold_total,
+                "{mods} {sharing}: warm {warm_total} vs cold {cold_total}"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_chains_match_the_mva_backend() {
+        let chained = table_4_1_grid(ResilientMvaBackend {
+            warm_start_chains: true,
+            ..Default::default()
+        });
+        let plain = table_4_1_grid(MvaBackend);
+        for (chained, plain) in chained.iter().flatten().zip(plain.iter().flatten()) {
+            let (c, p) = (chained.result.as_ref().unwrap(), plain.result.as_ref().unwrap());
+            assert_eq!(c.n, p.n);
+            assert!(
+                (c.speedup - p.speedup).abs() < 1e-6 * p.speedup.max(1.0),
+                "N={}: plain {} vs chained {}",
+                p.n,
+                p.speedup,
+                c.speedup
+            );
+        }
+    }
+
+    #[test]
+    fn failed_sweep_points_degrade_without_aborting_the_batch() {
+        // An unreachable tolerance defeats every strategy at every size:
+        // each size still gets its own failure, with a reason.
+        let scenarios = [1, 2, 4].map(|n| {
+            let mut s = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, n);
+            s.solver.tolerance = 0.0;
+            s.solver.max_iterations = 8;
+            s
+        });
+        let results = Engine::new()
+            .with_backend(ResilientMvaBackend { warm_start_chains: true, ..Default::default() })
+            .evaluate_batch(&scenarios);
+        assert_eq!(results.len(), 3);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.scenario, i);
+            match &r.result {
+                Err(EvalError::Failed { backend: BackendId::ResilientMva, reason }) => {
+                    assert!(!reason.is_empty());
+                }
+                other => panic!("N={}: expected a failure, got {other:?}", scenarios[i].n),
             }
         }
     }

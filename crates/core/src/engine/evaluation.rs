@@ -109,8 +109,10 @@ impl std::error::Error for EvalError {}
 /// tests assert.
 #[derive(Debug, Clone)]
 pub struct Provenance {
-    /// Fixed-point iterations (MVA: total across resilient attempts;
-    /// 0 for backends without an iteration count).
+    /// Fixed-point iterations (both MVA backends: summed over every
+    /// attempt of the escalation ladder, as `MvaModel::solve` and
+    /// `SolveDiagnostics::total_iterations` report them; 0 for backends
+    /// without an iteration count).
     pub iterations: usize,
     /// Independent simulation replications (0 for analytic backends).
     pub replications: usize,

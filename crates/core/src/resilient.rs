@@ -23,10 +23,12 @@
 //! diagnostics come back inside [`MvaError::SolveExhausted`]; the pipeline
 //! never panics and never returns non-finite values.
 //!
-//! Sweeps build on the same entry point through
-//! [`crate::sweep::resilient_speedup_series`], which warm-starts each
-//! system size from the previous size's converged state and degrades
-//! gracefully on failure instead of aborting the sweep.
+//! This ladder is the one solve path of the crate: [`MvaModel::solve`] is
+//! its cold-start call at the default depth. Sweeps run through the
+//! engine's [`crate::engine::ResilientMvaBackend`] with
+//! `warm_start_chains: true`, which seeds each system size from the
+//! previous size's converged state and reports a size that defeats the
+//! ladder as a failed point instead of aborting the sweep.
 
 use std::fmt;
 use std::time::Duration;
@@ -165,7 +167,14 @@ pub struct ResilientSolution {
 
 impl MvaModel {
     /// Solves the model for `n` processors through the escalation ladder,
-    /// from a cold start.
+    /// warm-started from a previous converged state `[w_bus, w_mem, R]`
+    /// when `seed` is `Some` and from cold (zero waiting times) otherwise.
+    ///
+    /// A good seed (the solution of a nearby configuration, e.g. the
+    /// previous `N` of a sweep) typically converges in a handful of
+    /// iterations. A seed that is not finite with a positive `R` is
+    /// ignored, and a seeded ladder that fails is rerun from cold, so
+    /// warm-starting never fails a solve that a cold start would pass.
     ///
     /// # Errors
     ///
@@ -176,37 +185,31 @@ impl MvaModel {
     pub fn solve_resilient(
         &self,
         n: usize,
-        options: &ResilientOptions,
-    ) -> Result<ResilientSolution, MvaError> {
-        self.solve_resilient_seeded(n, None, options)
-    }
-
-    /// Like [`MvaModel::solve_resilient`], warm-started from a previous
-    /// converged state `[w_bus, w_mem, R]` when `seed` is `Some`.
-    ///
-    /// A good seed (the solution of a nearby configuration, e.g. the
-    /// previous `N` of a sweep) typically converges in a handful of
-    /// iterations; a bad seed costs one failed attempt before the ladder
-    /// falls back to cold starts, so warm-starting is always safe.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MvaModel::solve_resilient`].
-    pub fn solve_resilient_seeded(
-        &self,
-        n: usize,
         seed: Option<[f64; 3]>,
         options: &ResilientOptions,
     ) -> Result<ResilientSolution, MvaError> {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
-        // Observational only — the probe registry is never read back, so
-        // collection cannot steer the escalation ladder.
-        let _probe_span = snoop_numeric::probe::span("resilient_solve");
         // A seed is only usable if it is finite with a positive R —
         // otherwise the mean-value map rejects it on the first step.
         let seed = seed.filter(|s| s.iter().all(|v| v.is_finite()) && s[2] > 0.0);
+        match self.run_ladder(n, seed, options) {
+            Err(_) if seed.is_some() => self.run_ladder(n, None, options),
+            result => result,
+        }
+    }
+
+    /// One pass down the escalation ladder from `seed` (or from cold).
+    fn run_ladder(
+        &self,
+        n: usize,
+        seed: Option<[f64; 3]>,
+        options: &ResilientOptions,
+    ) -> Result<ResilientSolution, MvaError> {
+        // Observational only — the probe registry is never read back, so
+        // collection cannot steer the escalation ladder.
+        let _probe_span = snoop_numeric::probe::span("resilient_solve");
         let base_damping = options.base.damping.clamp(f64::MIN_POSITIVE, 1.0);
         let ladder = [
             Strategy::Plain,
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn plain_strategy_wins_on_easy_workloads() {
         let r = model(SharingLevel::Five)
-            .solve_resilient(10, &ResilientOptions::default())
+            .solve_resilient(10, None, &ResilientOptions::default())
             .unwrap();
         assert_eq!(r.diagnostics.winning_strategy(), Some(Strategy::Plain));
         assert_eq!(r.diagnostics.retries(), 0);
@@ -342,7 +345,7 @@ mod tests {
     #[test]
     fn rejects_zero_processors() {
         let err = model(SharingLevel::Five)
-            .solve_resilient(0, &ResilientOptions::default())
+            .solve_resilient(0, None, &ResilientOptions::default())
             .unwrap_err();
         assert!(matches!(err, MvaError::InvalidSystemSize(0)));
     }
@@ -350,10 +353,10 @@ mod tests {
     #[test]
     fn warm_seed_from_fixed_point_converges_immediately() {
         let m = model(SharingLevel::Twenty);
-        let cold = m.solve_resilient(20, &ResilientOptions::default()).unwrap();
+        let cold = m.solve_resilient(20, None, &ResilientOptions::default()).unwrap();
         let seed = [cold.solution.w_bus, cold.solution.w_mem, cold.solution.r];
         let warm = m
-            .solve_resilient_seeded(20, Some(seed), &ResilientOptions::default())
+            .solve_resilient(20, Some(seed), &ResilientOptions::default())
             .unwrap();
         assert!(warm.diagnostics.warm_started);
         assert!(
@@ -366,10 +369,28 @@ mod tests {
     }
 
     #[test]
+    fn failed_warm_ladder_is_retried_cold() {
+        let m = model(SharingLevel::Five);
+        let cold = m.solve_resilient(10, None, &ResilientOptions::default()).unwrap();
+        // A budget that a cold start just meets and a distant seed cannot.
+        let options = ResilientOptions {
+            base: SolverOptions {
+                max_iterations: cold.diagnostics.total_iterations(),
+                ..SolverOptions::default()
+            },
+            max_damping_retries: 0,
+            deadline: None,
+        };
+        let retried = m.solve_resilient(10, Some([1e9, 0.0, 1.0]), &options).unwrap();
+        assert!(!retried.diagnostics.warm_started);
+        assert_eq!(retried, cold);
+    }
+
+    #[test]
     fn non_finite_seed_is_ignored() {
         let m = model(SharingLevel::Five);
         let r = m
-            .solve_resilient_seeded(
+            .solve_resilient(
                 10,
                 Some([f64::NAN, 0.0, 1.0]),
                 &ResilientOptions::default(),
@@ -387,7 +408,7 @@ mod tests {
         let slow = WorkloadParams::stress();
         let m = MvaModel::for_protocol(&slow, ModSet::new()).unwrap();
         for n in [64, 256, 1024] {
-            match m.solve_resilient(n, &ResilientOptions::default()) {
+            match m.solve_resilient(n, None, &ResilientOptions::default()) {
                 Ok(r) => {
                     assert!(r.solution.r.is_finite(), "N={n}");
                     assert!(r.solution.speedup.is_finite(), "N={n}");
@@ -412,7 +433,7 @@ mod tests {
             max_damping_retries: 2,
             deadline: None,
         };
-        let err = m.solve_resilient(10, &options).unwrap_err();
+        let err = m.solve_resilient(10, None, &options).unwrap_err();
         match err {
             MvaError::SolveExhausted(d) => {
                 assert_eq!(d.attempts.len(), 3, "{d}");
@@ -425,7 +446,7 @@ mod tests {
     #[test]
     fn diagnostics_display_is_readable() {
         let m = model(SharingLevel::Five);
-        let r = m.solve_resilient(4, &ResilientOptions::default()).unwrap();
+        let r = m.solve_resilient(4, None, &ResilientOptions::default()).unwrap();
         let text = r.diagnostics.to_string();
         assert!(text.contains("N=4"), "{text}");
         assert!(text.contains("plain converged"), "{text}");

@@ -17,6 +17,7 @@ use snoop_workload::timing::TimingModel;
 use crate::equations as eq;
 use crate::interference::Interference;
 use crate::outputs::MvaSolution;
+use crate::resilient::ResilientOptions;
 use crate::MvaError;
 
 /// Options controlling the fixed-point iteration.
@@ -162,9 +163,8 @@ impl MvaModel {
     }
 
     /// Runs the raw mean-value fixed point from an arbitrary initial state
-    /// with explicit numeric options — the primitive under both
-    /// [`MvaModel::solve`] and the resilient escalation ladder
-    /// (which needs custom damping schedules and warm starts).
+    /// with explicit numeric options — the primitive under every rung of
+    /// the escalation ladder and under [`MvaModel::solve_traced`].
     pub(crate) fn run_map(
         &self,
         n: usize,
@@ -214,9 +214,14 @@ impl MvaModel {
     /// Section 3.2 convergence claim, and the data behind the CLI's
     /// `convergence` command.
     ///
+    /// This is the paper's plain iteration from cold, run once: unlike
+    /// [`MvaModel::solve`] it does not escalate when the iteration fails,
+    /// so the trajectory is always the one the solution came from.
+    ///
     /// # Errors
     ///
-    /// Same contract as [`MvaModel::solve`].
+    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and propagates
+    /// non-convergence as [`MvaError::Numeric`].
     pub fn solve_traced(
         &self,
         n: usize,
@@ -225,72 +230,42 @@ impl MvaModel {
         if n == 0 {
             return Err(MvaError::InvalidSystemSize(0));
         }
-        let inputs = self.inputs;
-        let interference = Interference::compute(&inputs, n);
-        let r0 = eq::response_time(
-            &inputs,
-            0.0,
-            eq::r_broadcast(&inputs, 0.0, 0.0),
-            eq::r_remote_read(&inputs, 0.0),
-        );
-        let fixed_point = FixedPoint::new(Options {
-            max_iterations: options.max_iterations,
-            tolerance: options.tolerance,
-            damping: options.damping,
-            record_history: true,
-            aitken: false,
-            deadline: None,
-        });
-        let traced = fixed_point
-            .solve(vec![0.0, 0.0, r0], |x, out| self.step(n, &interference, x, out))?;
-        let history: Vec<[f64; 3]> =
-            traced.history.iter().map(|v| [v[0], v[1], v[2]]).collect();
-        // Reuse the standard path for the consistent solution report.
-        let solution = self.solve(n, options)?;
-        Ok((solution, history))
+        let traced = self.run_map(
+            n,
+            self.zero_wait_state(),
+            &Options {
+                max_iterations: options.max_iterations,
+                tolerance: options.tolerance,
+                damping: options.damping,
+                record_history: true,
+                aitken: false,
+                deadline: None,
+            },
+        )?;
+        let history = traced.history.iter().map(|v| [v[0], v[1], v[2]]).collect();
+        Ok((self.package_solution(n, &traced.values, traced.iterations), history))
     }
 
-    /// Solves the model for `n` processors.
+    /// Solves the model for `n` processors: the cold-start call of the
+    /// escalation ladder ([`MvaModel::solve_resilient`]) at its default
+    /// depth. The paper's plain successive substitution runs first; near
+    /// deep saturation (N in the thousands) it can oscillate, and the
+    /// ladder's damped rungs, which preserve the fixed point, take over.
+    ///
+    /// The reported `iterations` are summed over every attempt, so a
+    /// solve that escalated shows its real cost.
     ///
     /// # Errors
     ///
-    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and propagates
-    /// non-convergence as [`MvaError::Numeric`].
+    /// Returns [`MvaError::InvalidSystemSize`] for `n = 0` and
+    /// [`MvaError::SolveExhausted`] when every rung of the ladder fails.
     pub fn solve(&self, n: usize, options: &SolverOptions) -> Result<MvaSolution, MvaError> {
-        if n == 0 {
-            return Err(MvaError::InvalidSystemSize(0));
-        }
-        // Plain successive substitution, the paper's method. Near deep
-        // saturation (N in the thousands) the undamped map can oscillate;
-        // retry with increasing under-relaxation, which preserves the fixed
-        // point. Aitken acceleration is deliberately NOT used here: the
-        // clamps in Eqs. (5)/(7)/(12) make the map non-smooth and
-        // extrapolation can enter limit cycles. (For per-attempt
-        // diagnostics, warm starts and a wider escalation ladder, see
-        // [`MvaModel::solve_resilient`].)
-        let mut last_err = None;
-        for damping in [options.damping, 0.5 * options.damping, 0.1 * options.damping] {
-            let fp_options = Options {
-                max_iterations: options.max_iterations,
-                tolerance: options.tolerance,
-                damping,
-                record_history: false,
-                aitken: false,
-                deadline: None,
-            };
-            match self.run_map(n, self.zero_wait_state(), &fp_options) {
-                Ok(s) => return Ok(self.package_solution(n, &s.values, s.iterations)),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| {
-                // Unreachable: the ladder above always runs at least once.
-                snoop_numeric::NumericError::InvalidArgument(
-                    "damping retry ladder made no attempts".into(),
-                )
-            })
-            .into())
+        let options = ResilientOptions { base: options.clone(), ..ResilientOptions::default() };
+        let resilient = self.solve_resilient(n, None, &options)?;
+        Ok(MvaSolution {
+            iterations: resilient.diagnostics.total_iterations(),
+            ..resilient.solution
+        })
     }
 }
 
@@ -447,14 +422,25 @@ mod tests {
 
     #[test]
     fn traced_solve_matches_plain_solve() {
+        for level in SharingLevel::ALL {
+            let model = MvaModel::for_protocol(&WorkloadParams::appendix_a(level), ModSet::new())
+                .unwrap();
+            for options in [SolverOptions::default(), SolverOptions::paper()] {
+                for n in [1, 10, 100] {
+                    let solved = model.solve(n, &options).unwrap();
+                    let (traced, history) = model.solve_traced(n, &options).unwrap();
+                    // Debug output round-trips every f64 bit pattern.
+                    assert_eq!(format!("{traced:?}"), format!("{solved:?}"), "{level} N={n}");
+                    assert_eq!(history.len() - 1, traced.iterations, "{level} N={n}");
+                }
+            }
+        }
         let model = MvaModel::for_protocol(
             &WorkloadParams::appendix_a(SharingLevel::Five),
             ModSet::new(),
         )
         .unwrap();
-        let plain = model.solve(10, &SolverOptions::paper()).unwrap();
         let (traced, history) = model.solve_traced(10, &SolverOptions::paper()).unwrap();
-        assert!((plain.r - traced.r).abs() < 1e-12);
         // History starts at zero waits and ends at the fixed point.
         assert_eq!(history[0][0], 0.0);
         assert_eq!(history[0][1], 0.0);
@@ -464,6 +450,28 @@ mod tests {
         // value toward the fixed point.
         assert!(history.first().unwrap()[2] <= last[2] + 1e-9);
         assert!(history.len() >= 2);
+    }
+
+    #[test]
+    fn escalated_solves_report_iterations_over_every_attempt() {
+        use crate::engine::{Evaluator, MvaBackend, Scenario};
+        use crate::resilient::ResilientOptions;
+        // At N = 1000 the plain iteration exhausts its 10,000-iteration
+        // budget before a damped rung converges.
+        let model = MvaModel::for_protocol(
+            &WorkloadParams::appendix_a(SharingLevel::Five),
+            ModSet::new(),
+        )
+        .unwrap();
+        let total = model
+            .solve_resilient(1_000, None, &ResilientOptions::default())
+            .unwrap()
+            .diagnostics
+            .total_iterations();
+        assert!(total > 10_000, "{total}");
+        assert_eq!(model.solve(1_000, &SolverOptions::default()).unwrap().iterations, total);
+        let scenario = Scenario::appendix_a(ModSet::new(), SharingLevel::Five, 1_000);
+        assert_eq!(MvaBackend.evaluate(&scenario).unwrap().provenance.iterations, total);
     }
 
     #[test]

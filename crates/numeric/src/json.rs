@@ -363,14 +363,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Copy the whole run of unescaped bytes at once. It
+                    // ends at an ASCII quote or backslash (or the end of
+                    // the &str input), so it is valid UTF-8, and each byte
+                    // is visited once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -510,6 +513,14 @@ mod tests {
     fn non_finite_renders_as_null() {
         assert_eq!(format_f64(f64::NAN), "null");
         assert_eq!(format_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters_between_escapes() {
+        let v = JsonValue::parse(r#"["héllo → wörld","\u00e9\"ü\\","","日本"]"#).unwrap();
+        let strings: Vec<&str> =
+            v.as_array().unwrap().iter().map(|s| s.as_str().unwrap()).collect();
+        assert_eq!(strings, ["héllo → wörld", "é\"ü\\", "", "日本"]);
     }
 
     #[test]

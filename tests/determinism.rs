@@ -1,20 +1,17 @@
 //! Determinism contract of the parallel evaluation engine: for every
 //! thread count, parallel evaluation is **bit-identical** to serial — on
-//! the Table 4.1 sweep grid, the sensitivity analysis, the GTPN
-//! reachability/steady-state pipeline and the simulator's independent
-//! replications.
+//! the Figure 4.1 grid over Table 4.1's sizes (both MVA backends), the
+//! sensitivity analysis, the GTPN reachability/steady-state pipeline and
+//! the simulator's independent replications.
 //!
 //! CI runs this suite under `SNOOP_THREADS=1` and `SNOOP_THREADS=4`; the
 //! explicit thread counts below make the contract hold regardless of the
 //! environment.
 
+use snoop::engine::{Engine, Evaluator, MvaBackend, ResilientMvaBackend, Scenario};
 use snoop::gtpn::models::coherence::CoherenceNet;
 use snoop::gtpn::reachability::{explore, ReachabilityOptions};
-use snoop::mva::resilient::ResilientOptions;
-use snoop::mva::sweep::{
-    figure_4_1_family_exec, figure_4_1_grid, resilient_speedup_series, TABLE_4_1_N,
-};
-use snoop::mva::SolverOptions;
+use snoop::mva::sweep::{figure_4_1_grid, TABLE_4_1_N};
 use snoop::numeric::exec::ExecOptions;
 use snoop::protocol::ModSet;
 use snoop::sim::runner::replicate_exec;
@@ -25,56 +22,60 @@ use snoop::workload::timing::TimingModel;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// Every Figure 4.1 cell at `sizes`, as one batch.
+fn figure_4_1_scenarios(sizes: &[usize]) -> Vec<Scenario> {
+    figure_4_1_grid()
+        .into_iter()
+        .flat_map(|(mods, sharing)| {
+            sizes.iter().map(move |&n| Scenario::appendix_a(mods, sharing, n))
+        })
+        .collect()
+}
+
+/// Evaluates `scenarios` on a fresh engine (so every job is computed)
+/// and returns each result's canonical JSON, which round-trips every
+/// float bit.
+fn canonical_results(
+    backend: impl Evaluator + 'static,
+    scenarios: &[Scenario],
+    exec: ExecOptions,
+) -> Vec<String> {
+    Engine::new()
+        .with_backend(backend)
+        .with_exec(exec)
+        .evaluate_batch(scenarios)
+        .into_iter()
+        .map(|r| r.result.expect("every Figure 4.1 cell solves").to_json())
+        .collect()
+}
+
 #[test]
 fn figure_4_1_family_identical_across_thread_counts() {
-    let sizes = [1, 4, 10, 20];
-    let options = SolverOptions::default();
-    let serial = figure_4_1_family_exec(&sizes, &options, &ExecOptions::SERIAL).unwrap();
+    let scenarios = figure_4_1_scenarios(&TABLE_4_1_N);
+    let serial = canonical_results(MvaBackend, &scenarios, ExecOptions::SERIAL);
     for threads in THREAD_COUNTS {
-        let parallel =
-            figure_4_1_family_exec(&sizes, &options, &ExecOptions::with_threads(threads))
-                .unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.mods, p.mods);
-            assert_eq!(s.sharing, p.sharing);
-            for (a, b) in s.points.iter().zip(&p.points) {
-                assert_eq!(
-                    a.speedup.to_bits(),
-                    b.speedup.to_bits(),
-                    "{} {} N={}: {} threads diverged",
-                    s.mods,
-                    s.sharing,
-                    a.n,
-                    threads
-                );
-            }
-        }
+        assert_eq!(
+            serial,
+            canonical_results(MvaBackend, &scenarios, ExecOptions::with_threads(threads)),
+            "mva: {threads} threads diverged"
+        );
     }
 }
 
 #[test]
 fn resilient_sweeps_identical_on_all_table_4_1_configs() {
-    let options = ResilientOptions::default();
-    for (mods, sharing) in figure_4_1_grid() {
-        let serial =
-            resilient_speedup_series(mods, sharing, &TABLE_4_1_N, &options, true).unwrap();
-        // `resilient_speedup_series` is sequential within a series; the
-        // grid-parallel entry point must reproduce it cell for cell.
-        for threads in THREAD_COUNTS {
-            let family = snoop::mva::sweep::resilient_figure_4_1_family(
-                &TABLE_4_1_N,
-                &options,
-                true,
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
-            let cell = family
-                .iter()
-                .find(|s| s.mods == mods && s.sharing == sharing)
-                .expect("grid cell present");
-            assert_eq!(&serial, cell, "{mods} {sharing}: {threads} threads diverged");
-        }
+    // The warm-chained backend solves each cell's sizes in order, seeding
+    // every solve from the previous one; the grid-parallel batch must
+    // reproduce the serial chains cell for cell.
+    let scenarios = figure_4_1_scenarios(&TABLE_4_1_N);
+    let sweep = ResilientMvaBackend { warm_start_chains: true, ..Default::default() };
+    let serial = canonical_results(sweep, &scenarios, ExecOptions::SERIAL);
+    for threads in THREAD_COUNTS {
+        assert_eq!(
+            serial,
+            canonical_results(sweep, &scenarios, ExecOptions::with_threads(threads)),
+            "warm-chained mva-resilient: {threads} threads diverged"
+        );
     }
 }
 
@@ -139,9 +140,8 @@ fn metrics_collection_does_not_change_any_output_bit() {
     // then recompute everything with collection enabled at every thread
     // count: all outputs must stay bit-identical, because the probe layer
     // is strictly observational.
-    let sizes = [1, 4, 10];
-    let options = SolverOptions::default();
-    let figure_ref = figure_4_1_family_exec(&sizes, &options, &ExecOptions::SERIAL).unwrap();
+    let figure = figure_4_1_scenarios(&[1, 4, 10]);
+    let figure_ref = canonical_results(MvaBackend, &figure, ExecOptions::SERIAL);
 
     let inputs = ModelInputs::derive_adjusted(
         &WorkloadParams::appendix_a(SharingLevel::Five),
@@ -166,16 +166,11 @@ fn metrics_collection_does_not_change_any_output_bit() {
     let _session = snoop::numeric::probe::session();
     for threads in THREAD_COUNTS {
         let exec = ExecOptions::with_threads(threads);
-        let figure = figure_4_1_family_exec(&sizes, &options, &exec).unwrap();
-        for (s, p) in figure_ref.iter().zip(&figure) {
-            for (a, b) in s.points.iter().zip(&p.points) {
-                assert_eq!(
-                    a.speedup.to_bits(),
-                    b.speedup.to_bits(),
-                    "{threads} threads with metrics: figure diverged"
-                );
-            }
-        }
+        assert_eq!(
+            figure_ref,
+            canonical_results(MvaBackend, &figure, exec),
+            "{threads} threads with metrics: figure diverged"
+        );
         let gtpn = net
             .solve(&ReachabilityOptions { threads, ..ReachabilityOptions::default() })
             .unwrap();
@@ -211,9 +206,7 @@ fn tracing_does_not_change_any_engine_output_bit() {
     // trace session active, the engine must produce bit-identical
     // evaluations at every thread count — on a fresh cache each time, so
     // every backend genuinely re-solves under the recorder.
-    use snoop::engine::{
-        Engine, GtpnBackend, MvaBackend, ResilientMvaBackend, Scenario, SimBackend,
-    };
+    use snoop::engine::{GtpnBackend, SimBackend};
     use snoop::numeric::probe::trace;
 
     let quick = |protocol: &str, sharing: SharingLevel, n: usize| {
